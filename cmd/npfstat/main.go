@@ -2,7 +2,7 @@
 // time-series CSV written by `npfbench -series` as terminal sparklines, and
 // diffs two `-json` result files with per-metric relative-delta thresholds
 // and a pass/fail verdict — the regression gate CI runs against
-// BENCH_baseline.json.
+// BENCH_pr10.json.
 //
 // Render a run's dynamics:
 //
@@ -10,8 +10,8 @@
 //
 // Diff a run against a baseline (two spellings):
 //
-//	npfstat -baseline BENCH_baseline.json out.json
-//	npfstat BENCH_baseline.json out.json
+//	npfstat -baseline BENCH_pr10.json out.json
+//	npfstat BENCH_pr10.json out.json
 //
 // Diff semantics: structural drift — an experiment in the current run that
 // the baseline has never seen, an engine-count or event-count mismatch

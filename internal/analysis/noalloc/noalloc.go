@@ -9,8 +9,8 @@
 //
 // Flagged constructs: make/new, append (it may grow the backing array),
 // heap composite literals (&T{}, map/slice literals), variable-capturing
-// closures, interface boxing (calls, assignments, returns, conversions),
-// string concatenation and string<->slice conversions, map assignment,
+// closures, interface boxing of non-pointer-shaped values (calls,
+// assignments, returns, conversions), string concatenation and string<->slice conversions, map assignment,
 // go statements, any call into fmt, and calls whose allocation behavior
 // cannot be proven (dynamic calls, unanalyzed packages).
 //
@@ -39,8 +39,8 @@ Functions annotated //npf:noalloc, and everything they transitively call,
 are rejected if they contain allocating constructs (make/new, growing
 append, closure capture, interface boxing, string concat, fmt, map
 literals). Annotate reviewed lines //npf:allocok. The registry of
-runtime-gated hot paths (sim.Engine scheduling, the trace disabled path,
-workload.Source draws) must keep their annotations: removing one is
+runtime-gated hot paths (sim.Engine scheduling, the fabric/nic/tcp packet
+path, the trace disabled path, workload.Source draws) must keep their annotations: removing one is
 itself a finding.`
 
 var Analyzer = &analysis.Analyzer{
@@ -75,7 +75,16 @@ func (*Analyzed) AFact() {}
 // table.
 var Required = map[string][]string{
 	"npf/internal/sim": {
-		"Engine.At", "Engine.After", "Engine.Cancel",
+		"Engine.At", "Engine.After", "Engine.AtH", "Engine.AfterH", "Engine.Cancel",
+	},
+	"npf/internal/fabric": {
+		"port.enqueue", "port.kick", "Packet.Fire",
+	},
+	"npf/internal/nic": {
+		"RxRing.raiseRxInterrupt", "TxQueue.complete",
+	},
+	"npf/internal/tcp": {
+		"Conn.armTimer",
 	},
 	"npf/internal/trace": {
 		"Tracer.Begin", "Tracer.End", "Tracer.ArgInt",
@@ -424,15 +433,29 @@ func convAllocates(dst types.Type, src types.TypeAndValue) (string, bool) {
 	if _, ok := dstU.(*types.Slice); ok && isStringType(srcU) {
 		return "string-to-slice conversion allocates", true
 	}
-	if types.IsInterface(dst) && !types.IsInterface(src.Type) {
+	if types.IsInterface(dst) && !types.IsInterface(src.Type) && !pointerShaped(src.Type) {
 		return "interface conversion allocates (boxing)", true
 	}
 	return "", false
 }
 
+// pointerShaped reports whether a value of type t is a single pointer
+// word: a pointer, func, map, chan or unsafe.Pointer. The runtime stores
+// such a value directly in an interface's data word, so converting it to
+// an interface allocates nothing (a *T or a func adapted to sim.Handler).
+func pointerShaped(t types.Type) bool {
+	switch u := t.Underlying().(type) {
+	case *types.Pointer, *types.Signature, *types.Map, *types.Chan:
+		return true
+	case *types.Basic:
+		return u.Kind() == types.UnsafePointer
+	}
+	return false
+}
+
 // boxes reports whether assigning src to a dst-typed location converts a
-// concrete value to an interface (an allocation unless the escape
-// analysis gets lucky — the fence does not bet on luck).
+// concrete, non-pointer-shaped value to an interface (an allocation unless
+// the escape analysis gets lucky — the fence does not bet on luck).
 func boxes(info *types.Info, dst types.Type, src ast.Expr) bool {
 	if dst == nil || src == nil || !types.IsInterface(dst) {
 		return false
@@ -447,7 +470,7 @@ func boxes(info *types.Info, dst types.Type, src ast.Expr) bool {
 	if _, ok := tv.Type.(*types.TypeParam); ok {
 		return false
 	}
-	return true
+	return !pointerShaped(tv.Type)
 }
 
 // capturesVariables reports whether lit references variables declared

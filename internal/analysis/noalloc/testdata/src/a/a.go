@@ -7,6 +7,7 @@ package a
 import (
 	"dep"
 	"strings"
+	"unsafe"
 )
 
 var sink interface{}
@@ -26,7 +27,7 @@ func Hot(f func(), s []int, str, str2 string, m map[string]int) {
 	_ = []byte(str)                  // want `string-to-slice conversion allocates inside //npf:noalloc fence of Hot`
 	sink = 42                        // want `interface boxing allocates inside //npf:noalloc fence of Hot`
 	_ = func() int { return len(s) } // want `closure captures variables \(allocates\) inside //npf:noalloc fence of Hot`
-	give(&s)                         // want `interface boxing allocates inside //npf:noalloc fence of Hot`
+	give(s)                          // want `interface boxing allocates inside //npf:noalloc fence of Hot`
 	f()                              // want `dynamic call \(allocation behavior unknown\) inside //npf:noalloc fence of Hot`
 	_ = strings.ToUpper(str)         // want `call to strings\.ToUpper \(package strings has no allocation summaries\) inside //npf:noalloc fence of Hot`
 	s = dep.Grow(s, 3)               // want `call to dep\.Grow allocates: append may grow the backing array inside //npf:noalloc fence of Hot`
@@ -36,6 +37,47 @@ func Hot(f func(), s []int, str, str2 string, m map[string]int) {
 	viaHelper()
 	buf := make([]byte, 4) //npf:allocok — reviewed: scratch buffer reaches steady state
 	_ = buf
+}
+
+// Handler, Func and Node mirror sim.Handler, sim.Func and a component
+// that is its own event handler.
+type Handler interface{ Fire() }
+
+type Func func()
+
+func (f Func) Fire() { f() }
+
+type Node struct{ n int }
+
+func (nd *Node) Fire() { nd.n++ }
+
+// Pair is two words wide: boxing it needs a heap copy.
+type Pair struct{ A, B int }
+
+func take(h Handler) { _ = h }
+
+// Typed is a fenced hot path that schedules typed handlers. Pointer-shaped
+// values (pointer, func, map, chan, unsafe.Pointer) sit directly in an
+// interface's data word, so converting them allocates nothing; scalars and
+// structs still box.
+//
+//npf:noalloc
+func Typed(nd *Node, fn func(), ch chan int, m map[int]int, p unsafe.Pointer, n int, v Pair) Handler {
+	var h Handler = nd
+	take(nd)
+	take(Func(fn))
+	h = Func(fn)
+	_ = Handler(nd)
+	give(fn)
+	sink = ch
+	sink = m
+	sink = p
+	sink = n                  // want `interface boxing allocates inside //npf:noalloc fence of Typed`
+	give(v)                   // want `interface boxing allocates inside //npf:noalloc fence of Typed`
+	_ = interface{}(v)        // want `interface conversion allocates \(boxing\) inside //npf:noalloc fence of Typed`
+	var boxed interface{} = n // want `interface boxing allocates inside //npf:noalloc fence of Typed`
+	_ = boxed
+	return h
 }
 
 // viaHelper is pulled into Hot's fence transitively: its construct is a

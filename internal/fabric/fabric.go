@@ -23,15 +23,39 @@ type FlowID int64
 
 // Packet is one frame on the wire. Size covers headers+payload for timing;
 // Payload carries the protocol message as a Go value.
+//
+// Ownership: from Send until Deliver returns, the sender must neither
+// modify the packet nor send it again. The fabric owns the packet while it
+// is in flight, and Send panics on a packet that is still in flight. The
+// fabric releases it when it drops it or just before Deliver; from then on
+// the receiving endpoint owns it and may keep it past Deliver or send it
+// again, from Deliver or later.
 type Packet struct {
 	Src, Dst NodeID
 	Flow     FlowID
 	Size     int
 	Payload  any
+
+	// hop is the node whose port holds the packet, or toward whose
+	// ingress it is propagating. It is set by Send and cleared on delivery
+	// or drop, so it doubles as the in-flight mark.
+	hop *node
+	// next links the packet into its port's FIFO. A packet waits in at
+	// most one port at a time, so the queue needs no storage of its own.
+	next *Packet
 }
+
+// Fire is the packet's propagation event: the packet reaches its
+// destination's ingress port. The fabric schedules it (Packet is a
+// sim.Handler, so a hop allocates nothing); it is not for callers.
+//
+//npf:noalloc
+func (p *Packet) Fire() { p.hop.ingress.enqueue(p) }
 
 // Endpoint receives packets from the fabric — implemented by the NIC.
 type Endpoint interface {
+	// Deliver hands pkt to the endpoint. The fabric has released the
+	// packet by then (see Packet): the endpoint owns it from this call on.
 	Deliver(pkt *Packet)
 }
 
@@ -160,8 +184,8 @@ func (n *Network) AttachOn(ep Endpoint, eng *sim.Engine) NodeID {
 	n.nextsID++
 	id := n.nextsID
 	nd := &node{id: id, endpoint: ep, eng: eng, part: eng.Partition(), rng: n.rng.Split()}
-	nd.egress = newPort(nd, fmt.Sprintf("egress-%d", id), n.cfg.RateBps, 1<<30, true)
-	nd.ingress = newPort(nd, fmt.Sprintf("ingress-%d", id), n.cfg.RateBps, n.cfg.IngressBufferBytes, n.cfg.Lossless)
+	nd.egress = newPort(nd, n.cfg.RateBps, 1<<30, true, func(p *Packet) { n.propagate(nd, p) })
+	nd.ingress = newPort(nd, n.cfg.RateBps, n.cfg.IngressBufferBytes, n.cfg.Lossless, func(p *Packet) { n.deliver(nd, p) })
 	n.nodes[id] = nd
 	return id
 }
@@ -207,7 +231,7 @@ func (n *Network) SetNodeRate(id NodeID, rateBps int64) {
 // Send injects a packet at its source's egress port. The packet reaches
 // Dst's endpoint after egress serialization, propagation, and ingress
 // serialization — unless it is dropped by a full ingress buffer or the loss
-// injector.
+// injector. Sending a packet that is still in flight panics (see Packet).
 func (n *Network) Send(pkt *Packet) {
 	src, ok := n.nodes[pkt.Src]
 	if !ok {
@@ -216,46 +240,52 @@ func (n *Network) Send(pkt *Packet) {
 	if _, ok := n.nodes[pkt.Dst]; !ok {
 		panic(fmt.Sprintf("fabric: send to unattached node %d", pkt.Dst))
 	}
-	src.egress.enqueue(pkt, func(p *Packet) {
-		// Egress done; after propagation the packet hits the destination
-		// ingress port. In partitioned mode a cross-partition hop rides
-		// the group mailbox — (src node id, per-node seq) is the
-		// deterministic tiebreak for same-instant arrivals from different
-		// senders. A hop between nodes of the same partition must NOT use
-		// the mailbox: a partition's execution bound is derived from the
-		// other partitions' clocks only, so its local tail could run past
-		// a self-posted mail and execute events out of timestamp order.
-		// The engine's own queue orders it correctly (and local events
-		// deterministically precede same-instant cross-partition mail).
-		dst := n.nodes[p.Dst]
-		arrive := func() { n.arrive(dst, p) }
-		if n.group != nil && dst.eng != src.eng {
-			src.seq++
-			n.group.Post(dst.part, src.eng.Now().Add(n.cfg.Propagation),
-				uint64(src.id), src.seq, arrive)
-		} else {
-			src.eng.After(n.cfg.Propagation, arrive)
-		}
-	})
+	if pkt.hop != nil {
+		panic(fmt.Sprintf("fabric: send of packet %d->%d that is still in flight", pkt.Src, pkt.Dst))
+	}
+	pkt.hop = src
+	src.egress.enqueue(pkt)
 }
 
-// arrive runs on the destination node's partition: ingress serialization,
-// then loss decisions drawn from the destination's private stream.
-func (n *Network) arrive(dst *node, p *Packet) {
-	dst.ingress.enqueue(p, func(p *Packet) {
-		if dst.loss != nil && dst.loss(p) {
-			dst.dropped.Inc()
-			dst.injectedDrops.Inc()
-			return
-		}
-		if n.cfg.LossProbability > 0 && dst.rng.Bernoulli(n.cfg.LossProbability) {
-			dst.dropped.Inc()
-			return
-		}
-		dst.delivered.Inc()
-		dst.deliveredBytes.Add(uint64(p.Size))
-		dst.endpoint.Deliver(p)
-	})
+// propagate is an egress port's done handler: after propagation the packet
+// hits the destination ingress port (Packet.Fire). In partitioned mode a
+// cross-partition hop rides the group mailbox — (src node id, per-node
+// seq) is the deterministic tiebreak for same-instant arrivals from
+// different senders. A hop between nodes of the same partition must NOT
+// use the mailbox: a partition's execution bound is derived from the other
+// partitions' clocks only, so its local tail could run past a self-posted
+// mail and execute events out of timestamp order. The engine's own queue
+// orders it correctly (and local events deterministically precede
+// same-instant cross-partition mail).
+func (n *Network) propagate(src *node, p *Packet) {
+	dst := n.nodes[p.Dst]
+	p.hop = dst
+	if n.group != nil && dst.eng != src.eng {
+		src.seq++
+		n.group.PostH(dst.part, src.eng.Now().Add(n.cfg.Propagation), uint64(src.id), src.seq, p)
+	} else {
+		src.eng.AfterH(n.cfg.Propagation, p)
+	}
+}
+
+// deliver is an ingress port's done handler, running on the destination
+// node's partition: loss decisions drawn from the destination's private
+// stream, then delivery. The fabric releases the packet first, so the
+// endpoint may send it again from Deliver.
+func (n *Network) deliver(dst *node, p *Packet) {
+	p.hop = nil
+	if dst.loss != nil && dst.loss(p) {
+		dst.dropped.Inc()
+		dst.injectedDrops.Inc()
+		return
+	}
+	if n.cfg.LossProbability > 0 && dst.rng.Bernoulli(n.cfg.LossProbability) {
+		dst.dropped.Inc()
+		return
+	}
+	dst.delivered.Inc()
+	dst.deliveredBytes.Add(uint64(p.Size))
+	dst.endpoint.Deliver(p)
 }
 
 // SetLossFunc installs (or, with nil, removes) an injected per-link loss
@@ -311,40 +341,43 @@ func (n *Network) QueuedBytes(id NodeID) int {
 }
 
 // port is a rate-limited FIFO stage. It belongs to one node and schedules
-// all of its events on that node's engine.
+// all of its events on that node's engine. A port serializes one packet at
+// a time, so the port itself is the serialization-done event (Fire) and
+// its done handler is fixed at construction: no per-packet closures.
 type port struct {
 	owner    *node
-	name     string
 	rateBps  int64
 	capBytes int
 	lossless bool
+	// done receives each packet once it has been serialized.
+	done func(*Packet)
 
-	queue       []portItem
+	// head/tail delimit the FIFO of waiting packets, linked through
+	// Packet.next; cur is the packet being serialized.
+	head, tail  *Packet
+	cur         *Packet
 	queuedBytes int
-	busy        bool
 	paused      bool
 	blackhole   bool
 }
 
-type portItem struct {
-	pkt  *Packet
-	done func(*Packet)
+func newPort(owner *node, rateBps int64, capBytes int, lossless bool, done func(*Packet)) *port {
+	return &port{owner: owner, rateBps: rateBps, capBytes: capBytes, lossless: lossless, done: done}
 }
 
-func newPort(owner *node, name string, rateBps int64, capBytes int, lossless bool) *port {
-	return &port{owner: owner, name: name, rateBps: rateBps, capBytes: capBytes, lossless: lossless}
-}
-
-func (p *port) enqueue(pkt *Packet, done func(*Packet)) {
-	if p.blackhole {
+//npf:noalloc
+func (p *port) enqueue(pkt *Packet) {
+	if p.blackhole || !p.lossless && p.queuedBytes+pkt.Size > p.capBytes {
+		pkt.hop = nil
 		p.owner.dropped.Inc()
 		return
 	}
-	if !p.lossless && p.queuedBytes+pkt.Size > p.capBytes {
-		p.owner.dropped.Inc()
-		return
+	if p.tail == nil {
+		p.head = pkt
+	} else {
+		p.tail.next = pkt
 	}
-	p.queue = append(p.queue, portItem{pkt, done})
+	p.tail = pkt
 	p.queuedBytes += pkt.Size
 	p.kick()
 }
@@ -356,18 +389,28 @@ func (p *port) setPaused(paused bool) {
 	}
 }
 
+//npf:noalloc
 func (p *port) kick() {
-	if p.busy || p.paused || len(p.queue) == 0 {
+	if p.cur != nil || p.paused || p.head == nil {
 		return
 	}
-	item := p.queue[0]
-	p.queue = p.queue[1:]
-	p.queuedBytes -= item.pkt.Size
-	p.busy = true
-	ser := sim.Time(int64(item.pkt.Size) * 8 * int64(sim.Second) / p.rateBps)
-	p.owner.eng.After(ser, func() {
-		p.busy = false
-		item.done(item.pkt)
-		p.kick()
-	})
+	pkt := p.head
+	p.head = pkt.next
+	if p.head == nil {
+		p.tail = nil
+	}
+	pkt.next = nil
+	p.queuedBytes -= pkt.Size
+	p.cur = pkt
+	ser := sim.Time(int64(pkt.Size) * 8 * int64(sim.Second) / p.rateBps)
+	p.owner.eng.AfterH(ser, p)
+}
+
+// Fire ends the current packet's serialization: hand it on, then start
+// the next one.
+func (p *port) Fire() {
+	pkt := p.cur
+	p.cur = nil
+	p.done(pkt)
+	p.kick()
 }

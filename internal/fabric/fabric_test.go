@@ -224,3 +224,87 @@ func TestPartitionedFabricDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// reuseEP keeps the last packet delivered to it, so a test can send the
+// same packet again.
+type reuseEP struct{ last *Packet }
+
+func (r *reuseEP) Deliver(pkt *Packet) { r.last = pkt }
+
+// TestSendInFlightPanics: the fabric owns a packet until it is delivered
+// or dropped, so sending it again in between panics. Once delivered (or
+// dropped) the packet may be sent again.
+func TestSendInFlightPanics(t *testing.T) {
+	eng := sim.NewEngine(1)
+	net := New(eng, Config{RateBps: 8e9, Propagation: sim.Microsecond})
+	b := &reuseEP{}
+	ida := net.Attach(&reuseEP{})
+	idb := net.Attach(b)
+	pkt := &Packet{Src: ida, Dst: idb, Size: 1000}
+	net.Send(pkt)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("re-sending an in-flight packet did not panic")
+			}
+		}()
+		net.Send(pkt)
+	}()
+	eng.Run()
+	if b.last != pkt || net.Delivered() != 1 {
+		t.Fatalf("delivered %d packets, last %p, want %p", net.Delivered(), b.last, pkt)
+	}
+	net.Send(pkt) // delivered: the sender may reuse it
+	eng.Run()
+	if net.Delivered() != 2 {
+		t.Fatalf("re-sent packet not delivered: %d", net.Delivered())
+	}
+	net.SetBlackhole(idb, true)
+	net.Send(pkt)
+	eng.Run()
+	net.SetBlackhole(idb, false)
+	net.Send(pkt) // dropped: the fabric released it
+	eng.Run()
+	if net.Delivered() != 3 || net.Dropped() != 1 {
+		t.Fatalf("delivered %d dropped %d, want 3 and 1", net.Delivered(), net.Dropped())
+	}
+}
+
+// hop sends the endpoint's last delivered packet back across the link and
+// runs the engine until it is delivered again.
+func hop(eng *sim.Engine, net *Network, b *reuseEP) {
+	net.Send(b.last)
+	eng.Run()
+}
+
+func newHopPair() (*sim.Engine, *Network, *reuseEP) {
+	eng := sim.NewEngine(1)
+	net := New(eng, DefaultEthernet())
+	b := &reuseEP{}
+	ida := net.Attach(&reuseEP{})
+	idb := net.Attach(b)
+	b.last = &Packet{Src: ida, Dst: idb, Size: 1500}
+	return eng, net, b
+}
+
+// TestFabricHopAllocs is the runtime side of the //npf:noalloc fence on
+// port.enqueue/kick and Packet.Fire: in steady state a Send→Deliver hop
+// through two ports allocates nothing.
+func TestFabricHopAllocs(t *testing.T) {
+	eng, net, b := newHopPair()
+	for i := 0; i < 100; i++ {
+		hop(eng, net, b)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { hop(eng, net, b) }); allocs != 0 {
+		t.Fatalf("steady-state fabric hop allocates %.1f per packet, want 0", allocs)
+	}
+}
+
+func BenchmarkFabricHop(b *testing.B) {
+	b.ReportAllocs()
+	eng, net, ep := newHopPair()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hop(eng, net, ep)
+	}
+}

@@ -57,7 +57,8 @@ type RxCompletion struct {
 
 // RxHandler is the IOuser-side completion callback (the channel's network
 // stack). Invoked from interrupt context (an engine event), once per
-// interrupt with all newly visible completions.
+// interrupt with all newly visible completions. The slice is the ring's
+// reused buffer: it is valid only until RxComplete returns.
 type RxHandler interface {
 	RxComplete(ch *Channel, completions []RxCompletion)
 }
@@ -67,7 +68,8 @@ type TxCompletion struct {
 	Cookie any
 }
 
-// TxHandler receives TX completions.
+// TxHandler receives TX completions. As with RxHandler, the slice is valid
+// only until TxComplete returns.
 type TxHandler interface {
 	TxComplete(ch *Channel, completions []TxCompletion)
 }

@@ -482,3 +482,99 @@ func TestBackupNeverLosesProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// countingHandler counts completions without keeping them, so the
+// allocation gates measure the NIC alone. Each RX completion reposts its
+// descriptor, as a stack with fixed buffers does.
+type countingHandler struct{ rx, tx int }
+
+func (h *countingHandler) RxComplete(ch *Channel, comps []RxCompletion) {
+	for _, c := range comps {
+		h.rx++
+		ch.Rx.PostRx(Descriptor{Buffer: mem.PageNum(c.Index % int64(ch.Rx.Size())).Base(), Len: mem.PageSize})
+	}
+}
+
+func (h *countingHandler) TxComplete(ch *Channel, comps []TxCompletion) { h.tx += len(comps) }
+
+// txrxPair is a warm sender channel and a warm receiver channel on two
+// devices sharing one fabric.
+type txrxPair struct {
+	eng      *sim.Engine
+	tx, rx   *Channel
+	h        *countingHandler
+	desc     TxDesc
+	injected *fabric.Packet
+}
+
+func newTxRxPair() *txrxPair {
+	eng := sim.NewEngine(1)
+	net := fabric.New(eng, fabric.DefaultEthernet())
+	cfg := DefaultConfig()
+	cfg.FirmwareJitterSigma = 0
+	m := mem.NewMachine(eng, 1<<30)
+	h := &countingHandler{}
+	mk := func(name string) *Channel {
+		dev := NewDevice(eng, net, cfg)
+		dev.SetNPFSink(&testDriver{})
+		as := m.NewAddressSpace(name, nil)
+		as.MapBytes(1 << 20)
+		ch := dev.NewChannel(name, as, 8, PolicyBackup, 8)
+		ch.SetRxHandler(h)
+		ch.SetTxHandler(h)
+		as.TouchPages(0, 8, true)
+		ch.Domain.Map(0, 8)
+		for i := 0; i < 8; i++ {
+			ch.Rx.PostRx(Descriptor{Buffer: mem.PageNum(i).Base(), Len: mem.PageSize})
+		}
+		return ch
+	}
+	p := &txrxPair{eng: eng, tx: mk("tx"), rx: mk("rx"), h: h}
+	p.desc = TxDesc{Buffer: 0, Len: 1500, Dst: p.rx.Dev.Node, DstFlow: p.rx.Flow, Payload: p, Cookie: p}
+	p.injected = &fabric.Packet{Dst: p.rx.Dev.Node, Flow: p.rx.Flow, Size: 1500, Payload: p}
+	return p
+}
+
+// txRound posts one TX descriptor and runs until the peer's RX completion
+// and the sender's TX completion have both been delivered.
+func (p *txrxPair) txRound() {
+	p.tx.Tx.Post(p.desc)
+	p.eng.Run()
+}
+
+// rxRound hands the receiver the same packet again (the NIC is its owner
+// once Deliver returns) and runs until its RX completion is delivered.
+func (p *txrxPair) rxRound() {
+	p.rx.Dev.Deliver(p.injected)
+	p.eng.Run()
+}
+
+// TestNICTxRxSteadyStateAllocs is the runtime side of the //npf:noalloc
+// fences on RxRing.raiseRxInterrupt and TxQueue.complete: in steady state
+// an RX completion round allocates nothing, and a TX post plus its RX
+// completion allocates only the fabric.Packet the NIC puts on the wire.
+func TestNICTxRxSteadyStateAllocs(t *testing.T) {
+	p := newTxRxPair()
+	for i := 0; i < 100; i++ {
+		p.txRound()
+		p.rxRound()
+	}
+	if p.h.rx != 200 || p.h.tx != 100 {
+		t.Fatalf("warm-up completions rx=%d tx=%d, want 200 and 100", p.h.rx, p.h.tx)
+	}
+	if allocs := testing.AllocsPerRun(1000, p.rxRound); allocs != 0 {
+		t.Fatalf("steady-state RX completion round allocates %.1f, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, p.txRound); allocs != 1 {
+		t.Fatalf("steady-state TX post + RX completion allocates %.1f, want 1 (the wire packet)", allocs)
+	}
+}
+
+func BenchmarkNICTxRx(b *testing.B) {
+	b.ReportAllocs()
+	p := newTxRxPair()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.txRound()
+	}
+}

@@ -48,6 +48,10 @@ type RxRing struct {
 
 	reported   int64
 	intPending bool
+	// irq is the coalesced RX interrupt (interrupt, bound once); comps is
+	// its completion buffer, reused once the handler has returned.
+	irq   func()
+	comps []RxCompletion
 
 	// inflight tracks descriptor indexes whose fault was already reported
 	// and not yet resolved — the firmware bitmap optimization (§4) that
@@ -59,7 +63,7 @@ type RxRing struct {
 }
 
 func newRxRing(ch *Channel, size, bmSize int, policy FaultPolicy) *RxRing {
-	return &RxRing{
+	r := &RxRing{
 		ch:       ch,
 		size:     size,
 		bmSize:   bmSize,
@@ -68,6 +72,8 @@ func newRxRing(ch *Channel, size, bmSize int, policy FaultPolicy) *RxRing {
 		bitmap:   make([]bool, bmSize),
 		inflight: make(map[int64]bool),
 	}
+	r.irq = r.interrupt
+	return r
 }
 
 // Policy returns the ring's fault policy.
@@ -265,26 +271,33 @@ func (r *RxRing) ClearInflight(idx int64) { delete(r.inflight, idx) }
 
 // raiseRxInterrupt delivers completions [reported, head) to the IOuser
 // after the interrupt latency, coalescing bursts into one callback.
+//
+//npf:noalloc
 func (r *RxRing) raiseRxInterrupt() {
 	if r.intPending || r.reported >= r.head {
 		return
 	}
 	r.intPending = true
 	dev := r.ch.Dev
-	dev.Eng.After(dev.Cfg.IntLatency, func() {
-		r.intPending = false
-		var comps []RxCompletion
-		for r.reported < r.head {
-			s := r.slot(r.reported)
-			if !s.filled {
-				panic(fmt.Sprintf("nic: reporting unfilled slot %d on %s", r.reported, r.ch.Name))
-			}
-			comps = append(comps, RxCompletion{Index: r.reported, Size: s.size, Payload: s.payload})
-			*s = rxSlot{}
-			r.reported++
+	dev.Eng.After(dev.Cfg.IntLatency, r.irq)
+}
+
+// interrupt reports every newly visible completion in one handler call.
+func (r *RxRing) interrupt() {
+	r.intPending = false
+	comps := r.comps[:0]
+	for r.reported < r.head {
+		s := r.slot(r.reported)
+		if !s.filled {
+			panic(fmt.Sprintf("nic: reporting unfilled slot %d on %s", r.reported, r.ch.Name))
 		}
-		if r.ch.rxHandler != nil {
-			r.ch.rxHandler.RxComplete(r.ch, comps)
-		}
-	})
+		comps = append(comps, RxCompletion{Index: r.reported, Size: s.size, Payload: s.payload})
+		*s = rxSlot{}
+		r.reported++
+	}
+	if r.ch.rxHandler != nil {
+		r.ch.rxHandler.RxComplete(r.ch, comps)
+	}
+	clear(comps)
+	r.comps = comps[:0]
 }

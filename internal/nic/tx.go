@@ -22,39 +22,67 @@ type TxDesc struct {
 // (§4: "when a sender encounters an NPF, it can simply stop sending and
 // wait until the NPF is resolved, as the faulting data is local").
 type TxQueue struct {
-	ch        *Channel
+	ch *Channel
+	// queue[head:] are the descriptors awaiting transmission; the consumed
+	// prefix is reclaimed when the queue drains or Post needs room.
 	queue     []TxDesc
+	head      int
 	suspended bool
 
+	// completions collects TX completions until the coalesced interrupt
+	// (irq, bound once) hands them to the handler; spare is the buffer the
+	// previous interrupt handed out, reused once that handler returned.
 	compPending bool
 	completions []TxCompletion
+	spare       []TxCompletion
+	irq         func()
 }
 
 func newTxQueue(ch *Channel) *TxQueue {
-	return &TxQueue{ch: ch}
+	q := &TxQueue{ch: ch}
+	q.irq = q.interrupt
+	return q
 }
 
 // Suspended reports whether the queue is stalled on an NPF.
 func (q *TxQueue) Suspended() bool { return q.suspended }
 
 // QueuedPackets reports descriptors awaiting transmission.
-func (q *TxQueue) QueuedPackets() int { return len(q.queue) }
+func (q *TxQueue) QueuedPackets() int { return len(q.queue) - q.head }
 
 // Post enqueues descriptors for transmission.
 func (q *TxQueue) Post(descs ...TxDesc) {
+	if q.head > 0 && len(q.queue)+len(descs) > cap(q.queue) {
+		// Slide the waiting descriptors down rather than grow the backing
+		// array past the consumed prefix.
+		n := copy(q.queue, q.queue[q.head:])
+		clear(q.queue[n:])
+		q.queue = q.queue[:n]
+		q.head = 0
+	}
 	q.queue = append(q.queue, descs...)
 	q.kick()
+}
+
+// pop consumes the descriptor at the head of the queue.
+func (q *TxQueue) pop() {
+	q.queue[q.head] = TxDesc{}
+	q.head++
+	if q.head == len(q.queue) {
+		q.queue = q.queue[:0]
+		q.head = 0
+	}
 }
 
 // kick drains the queue until it is empty or a fault suspends it.
 func (q *TxQueue) kick() {
 	dev := q.ch.Dev
-	for !q.suspended && len(q.queue) > 0 {
-		d := q.queue[0]
+	for !q.suspended && q.head < len(q.queue) {
+		d := q.queue[q.head]
 		if q.ch.Domain.Blocked(d.Buffer, d.Len) {
 			// Guest-table protection violation: the descriptor is
 			// discarded (the IOuser misprogrammed its own table).
-			q.queue = q.queue[1:]
+			q.pop()
 			dev.TxDroppedProtect.Inc()
 			continue
 		}
@@ -94,7 +122,7 @@ func (q *TxQueue) kick() {
 			})
 			return
 		}
-		q.queue = q.queue[1:]
+		q.pop()
 		q.ch.dmaTouch(d.Buffer, d.Len, false)
 		dev.Net.Send(&fabric.Packet{
 			Src:     dev.Node,
@@ -104,25 +132,33 @@ func (q *TxQueue) kick() {
 			Payload: d.Payload,
 		})
 		dev.TxSent.Inc()
-		q.complete(TxCompletion{Cookie: d.Cookie})
+		q.completions = append(q.completions, TxCompletion{Cookie: d.Cookie})
+		q.complete()
 	}
 }
 
-// complete queues a TX completion, delivered coalesced after the interrupt
-// latency.
-func (q *TxQueue) complete(c TxCompletion) {
-	q.completions = append(q.completions, c)
+// complete arms the coalesced TX-completion interrupt, delivered after the
+// interrupt latency, for the completions kick has queued.
+//
+//npf:noalloc
+func (q *TxQueue) complete() {
 	if q.compPending {
 		return
 	}
 	q.compPending = true
 	dev := q.ch.Dev
-	dev.Eng.After(dev.Cfg.IntLatency, func() {
-		q.compPending = false
-		comps := q.completions
-		q.completions = nil
-		if q.ch.txHandler != nil {
-			q.ch.txHandler.TxComplete(q.ch, comps)
-		}
-	})
+	dev.Eng.After(dev.Cfg.IntLatency, q.irq)
+}
+
+// interrupt delivers the queued TX completions. The handler may post more
+// descriptors, which complete into the other buffer.
+func (q *TxQueue) interrupt() {
+	q.compPending = false
+	comps := q.completions
+	q.completions = q.spare
+	if q.ch.txHandler != nil {
+		q.ch.txHandler.TxComplete(q.ch, comps)
+	}
+	clear(comps)
+	q.spare = comps[:0]
 }

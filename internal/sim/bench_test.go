@@ -132,3 +132,38 @@ func TestEngineTimerChurnAllocs(t *testing.T) {
 		t.Fatalf("timer churn allocates %.1f per cycle, want 0", allocs)
 	}
 }
+
+// counterHandler is a typed event that re-arms itself until n reaches
+// limit, like a port serializing packets back to back.
+type counterHandler struct {
+	e        *Engine
+	n, limit int
+}
+
+func (h *counterHandler) Fire() {
+	h.n++
+	if h.n < h.limit {
+		h.e.AfterH(10, h)
+	}
+}
+
+// TestTypedHandlerAllocs is the runtime side of the //npf:noalloc fence
+// on AtH/AfterH: scheduling a pointer handler stores it in the event's
+// interface without boxing, so a steady-state chain allocates nothing.
+func TestTypedHandlerAllocs(t *testing.T) {
+	e := NewEngine(1)
+	h := &counterHandler{e: e}
+	cycle := func() {
+		h.n, h.limit = 0, 8
+		e.AfterH(1, h)
+		id := e.AfterH(100, h)
+		e.Cancel(id)
+		e.Run()
+	}
+	for i := 0; i < 100; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Fatalf("steady-state typed-handler chain allocates %.1f per cycle, want 0", allocs)
+	}
+}

@@ -2,15 +2,15 @@
 // that every other subsystem in this repository runs on.
 //
 // A single Engine owns a virtual clock and a priority queue of events.
-// Components schedule callbacks with At/After; Run drains the queue in
-// (time, sequence) order, so two runs with the same seed and the same
-// schedule produce byte-identical results.
+// Components schedule callbacks with At/After, or typed Handlers with
+// AtH/AfterH; Run drains the queue in (time, sequence) order, so two runs
+// with the same seed and the same schedule produce byte-identical results.
 //
 // The hot path is allocation-free in steady state: executed and cancelled
 // events return to a free list and are reused by later At/After calls, and
 // Cancel marks events dead in place (lazy deletion) instead of paying a
 // heap fix-up. Neither optimization can change the execution order — see
-// DESIGN.md §7 for the invariants.
+// DESIGN.md §6, "Engine hot path", for the invariants.
 package sim
 
 import (
@@ -67,14 +67,33 @@ func (t Time) String() string {
 	return time.Duration(t).String()
 }
 
+// Handler is a typed event: the engine calls Fire when the event comes
+// due. A pointer-shaped implementation (a pointer receiver, or Func) is
+// stored in the interface without allocating, so a component that
+// schedules the same object over and over — a port serializing packets,
+// a packet propagating across a link — pays nothing per event.
+type Handler interface {
+	Fire()
+}
+
+// Func adapts a plain callback to Handler. At, After and Post schedule
+// through it; a func value converts to Handler without allocating, so
+// the closure itself is the only cost.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
 // event is a scheduled callback. seq breaks ties between events scheduled
 // for the same instant, preserving scheduling order. The struct is pooled:
 // gen distinguishes the current tenancy from stale EventIDs that refer to
-// an earlier use of the same struct.
+// an earlier use of the same struct. It must stay within the 48-byte size
+// class (DESIGN.md §6, "Engine hot path"): one Handler, never a handler
+// plus an argument.
 type event struct {
 	at   Time
 	seq  uint64
-	fn   func()
+	h    Handler
 	gen  uint64
 	dead bool // cancelled; skipped (and recycled) when it surfaces
 	imm  bool // lives in the immediate FIFO, not the heap
@@ -170,7 +189,7 @@ func (e *Engine) Pending() int { return e.live }
 
 // alloc takes an event from the pool, or allocates one when the pool is
 // empty, and stamps it with the next sequence number.
-func (e *Engine) alloc(t Time, fn func()) *event {
+func (e *Engine) alloc(t Time, h Handler) *event {
 	var ev *event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
@@ -179,7 +198,7 @@ func (e *Engine) alloc(t Time, fn func()) *event {
 	} else {
 		ev = &event{} //npf:allocok — pool miss; amortized away once the pool warms up
 	}
-	ev.at, ev.seq, ev.fn = t, e.seq, fn
+	ev.at, ev.seq, ev.h = t, e.seq, h
 	e.seq++
 	return ev
 }
@@ -188,7 +207,7 @@ func (e *Engine) alloc(t Time, fn func()) *event {
 // EventID that still points at this struct.
 func (e *Engine) recycle(ev *event) {
 	ev.gen++
-	ev.fn = nil
+	ev.h = nil
 	ev.dead = false
 	ev.imm = false
 	if len(e.free) < maxFreeEvents {
@@ -200,11 +219,24 @@ func (e *Engine) recycle(ev *event) {
 // (before Now) panics: that is always a component bug.
 //
 //npf:noalloc
-func (e *Engine) At(t Time, fn func()) EventID {
+func (e *Engine) At(t Time, fn func()) EventID { return e.AtH(t, Func(fn)) }
+
+// After schedules fn to run d nanoseconds from now. The target time
+// saturates at Forever instead of wrapping, and events at Forever never
+// execute, so arbitrarily long delays are safe no-ops.
+//
+//npf:noalloc
+func (e *Engine) After(d Time, fn func()) EventID { return e.AfterH(d, Func(fn)) }
+
+// AtH schedules h.Fire to run at absolute virtual time t. It is At for a
+// typed handler: same ordering, same sequence numbering, one event.
+//
+//npf:noalloc
+func (e *Engine) AtH(t Time, h Handler) EventID {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now)) //npf:allocok — dying anyway
 	}
-	ev := e.alloc(t, fn)
+	ev := e.alloc(t, h)
 	e.live++
 	if t == e.now {
 		ev.imm = true
@@ -215,16 +247,15 @@ func (e *Engine) At(t Time, fn func()) EventID {
 	return EventID{ev, ev.gen}
 }
 
-// After schedules fn to run d nanoseconds from now. The target time
-// saturates at Forever instead of wrapping, and events at Forever never
-// execute, so arbitrarily long delays are safe no-ops.
+// AfterH schedules h.Fire to run d nanoseconds from now, saturating like
+// After.
 //
 //npf:noalloc
-func (e *Engine) After(d Time, fn func()) EventID {
+func (e *Engine) AfterH(d Time, h Handler) EventID {
 	if d < 0 {
 		d = 0
 	}
-	return e.At(e.now.Add(d), fn)
+	return e.AtH(e.now.Add(d), h)
 }
 
 // Cancel removes a scheduled event. Cancelling an event that already ran or
@@ -240,7 +271,7 @@ func (e *Engine) Cancel(id EventID) bool {
 		return false
 	}
 	ev.dead = true
-	ev.fn = nil
+	ev.h = nil
 	e.live--
 	if !ev.imm {
 		e.heapDead++
@@ -359,9 +390,9 @@ func (e *Engine) RunUntil(deadline Time) Time {
 		if e.MaxEvents != 0 && e.executed > e.MaxEvents {
 			panic(fmt.Sprintf("sim: exceeded MaxEvents=%d at t=%v", e.MaxEvents, e.now))
 		}
-		fn := next.fn
+		h := next.h
 		e.recycle(next)
-		fn()
+		h.Fire()
 	}
 	if e.stopped && e.group != nil {
 		// Grouped engines must report the stopping event's own time so the

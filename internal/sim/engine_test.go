@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEngineOrdering(t *testing.T) {
@@ -302,5 +303,52 @@ func TestEngineMonotonicProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// logHandler is a typed event that records its id when fired.
+type logHandler struct {
+	id  int
+	log *[]int
+}
+
+func (h *logHandler) Fire() { *h.log = append(*h.log, h.id) }
+
+// TestTypedHandlersShareOrder: AtH/AfterH and At/After draw from one
+// sequence, so mixed typed and closure events run in exact (at, seq)
+// order, same-instant ties included, and Cancel works on both.
+func TestTypedHandlersShareOrder(t *testing.T) {
+	e := NewEngine(1)
+	var log []int
+	h := func(id int) *logHandler { return &logHandler{id: id, log: &log} }
+	fn := func(id int) func() { return func() { log = append(log, id) } }
+	e.AtH(20, h(3))
+	e.At(10, fn(1))
+	e.AtH(10, h(2))
+	e.At(20, fn(4))
+	e.AfterH(20, h(5))
+	gone := e.AfterH(15, h(99))
+	e.AfterH(0, h(0))
+	if !e.Cancel(gone) {
+		t.Fatal("Cancel of a typed event failed")
+	}
+	e.Run()
+	want := []int{0, 1, 2, 3, 4, 5}
+	if len(log) != len(want) {
+		t.Fatalf("ran %v, want %v", log, want)
+	}
+	for i := range want {
+		if log[i] != want[i] {
+			t.Fatalf("ran %v, want %v", log, want)
+		}
+	}
+}
+
+// TestEventSizeClass pins the pooled event struct to the 48-byte size
+// class: the engine's heap and pool hold one per scheduled event, so a
+// wider event costs live heap on every large run.
+func TestEventSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(event{}); size > 48 {
+		t.Fatalf("event is %d bytes, want at most 48", size)
 	}
 }

@@ -8,7 +8,8 @@
 // # Protocol
 //
 // Cross-partition interactions go through per-partition mailboxes: a
-// timestamped closure posted with Post(to, at, src, seq, fn) executes on
+// timestamped closure posted with Post(to, at, src, seq, fn) — or a typed
+// Handler posted with PostH — executes on
 // the destination partition's engine at virtual time at, ordered by
 // (at, src, seq) against other mail and after local events with the same
 // timestamp. The sender promises that every post it issues satisfies
@@ -22,8 +23,9 @@
 // Each partition i repeatedly:
 //
 //  1. publishes raw_i = min(next local event, earliest mail in box);
-//  2. reads every raw_j and forms M = min_j raw_j (its own included —
-//     mail already in its box bounds its own next action), then
+//  2. reads every raw_j and mailbox head and forms their minimum M (its
+//     own included — mail already in its box bounds its own next
+//     action), then
 //     publishes clock_i = min(raw_i, M+L). The M+L term is what lets a
 //     quiescent partition jump its clock across a long idle gap in one
 //     step instead of creeping by L per iteration: nothing anywhere can
@@ -39,9 +41,19 @@
 // Mail sent after partition i read clock_j carries a timestamp
 // >= clock_j + L >= B_i's contribution from j, and published clocks
 // never decrease, so the set of mail below B is fixed before the batch
-// starts. Equal-timestamp mail from different sources cannot race
-// either: for i to be executing time t at all, every other clock
-// exceeds t-L, so any future send lands strictly after t.
+// starts. That needs M to be a true lower bound on all future execution,
+// so steps 1-2 read every raw and mailbox as one consistent snapshot
+// under the group lock, and every change to them (a post, a pop, a
+// publish) takes the same lock. Popping mail lowers the receiver's raw
+// to the mail's timestamp until its next publish: between the pop and
+// that publish the mail is in neither the box nor a published raw, and
+// a partition that computed M then could jump its clock past the
+// receiver's reply to it. Lock-free reads in any fixed order can miss
+// a message in transit this way (mail moves sender raw -> box ->
+// receiver raw, and its effects into further boxes).
+// Equal-timestamp mail from different sources cannot race either: for
+// i to be executing time t at all, every other clock exceeds t-L, so
+// any future send lands strictly after t.
 //
 // Determinism: each engine therefore executes an identical event
 // sequence regardless of how batches are sliced, i.e. regardless of the
@@ -49,11 +61,10 @@
 // engine events and consume no engine sequence numbers, so seq
 // assignment of the events they schedule is also timing-independent.
 //
-// Termination uses raw values, not clocks: when every partition's
-// published raw exceeds the horizon (or is Forever), no partition can
-// ever create work at or below the horizon. A second full sweep with a
-// mailbox re-check between guards against mail pushed concurrently with
-// the first observation.
+// Termination uses raw values, not clocks: when every partition's raw
+// and every mailbox head exceed the horizon (or are Forever) in one
+// snapshot under the group lock, no partition can ever create work at
+// or below the horizon.
 //
 // Stop is deterministic too: stopping from an event executing at time s
 // shrinks the shared horizon to s+L-1 with an atomic min. Every
@@ -69,13 +80,13 @@ import (
 	"sync/atomic"
 )
 
-// mail is one cross-partition injection: run fn on the destination
+// mail is one cross-partition injection: fire h on the destination
 // engine at virtual time at, ordered by (at, src, seq).
 type mail struct {
 	at  Time
 	src uint64
 	seq uint64
-	fn  func()
+	h   Handler
 }
 
 func mailLess(a, b mail) bool {
@@ -88,24 +99,13 @@ func mailLess(a, b mail) bool {
 	return a.seq < b.seq
 }
 
-// mailbox is a mutex-protected min-heap of mail ordered by (at, src, seq),
-// with the head timestamp mirrored in a lock-free atomic. The mirror is
-// what makes the synchronization loop cheap: partitions poll every box's
-// head on every iteration (floor computation, quiescence checks), and an
-// idle partition spinning on another's mutex would throttle the very
-// thread it is waiting for. Only push/popBelow — the rare, actual
-// mutations — take the lock; headAt is updated before the lock is
-// released, so a reader that has observed any later atomic write by the
-// pushing thread (e.g. its republished raw) is guaranteed to observe the
-// new head too.
+// mailbox is a min-heap of mail ordered by (at, src, seq). The owning
+// Group's mu guards it.
 type mailbox struct {
-	mu     sync.Mutex
-	h      []mail
-	headAt atomic.Int64 // b.h[0].at, or Forever when empty
+	h []mail
 }
 
 func (b *mailbox) push(m mail) {
-	b.mu.Lock()
 	b.h = append(b.h, m)
 	i := len(b.h) - 1
 	for i > 0 {
@@ -116,19 +116,18 @@ func (b *mailbox) push(m mail) {
 		b.h[i], b.h[p] = b.h[p], b.h[i]
 		i = p
 	}
-	b.headAt.Store(int64(b.h[0].at))
-	b.mu.Unlock()
 }
 
 // head returns the earliest pending timestamp, or Forever when empty.
 func (b *mailbox) head() Time {
-	return Time(b.headAt.Load())
+	if len(b.h) == 0 {
+		return Forever
+	}
+	return b.h[0].at
 }
 
 // popBelow removes and returns the earliest mail with at < bound.
 func (b *mailbox) popBelow(bound Time) (mail, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if len(b.h) == 0 || b.h[0].at >= bound {
 		return mail{}, false
 	}
@@ -153,19 +152,14 @@ func (b *mailbox) popBelow(bound Time) (mail, bool) {
 		b.h[i], b.h[m] = b.h[m], b.h[i]
 		i = m
 	}
-	if n > 0 {
-		b.headAt.Store(int64(b.h[0].at))
-	} else {
-		b.headAt.Store(int64(Forever))
-	}
 	return top, true
 }
 
-// partState is the per-partition synchronization state. raw and clock are
-// written only by the partition's owning worker thread and read by all.
+// partState is the per-partition synchronization state. box and raw are
+// guarded by Group.mu; clock is written under it and read lock-free.
 type partState struct {
 	box   mailbox
-	raw   atomic.Int64 // min(next local event, earliest mail): next action
+	raw   Time         // lower bound on the partition's next action
 	clock atomic.Int64 // conservative promise: no future send arrives < clock+L
 }
 
@@ -176,6 +170,9 @@ type partState struct {
 type Group struct {
 	engines []*Engine
 	parts   []*partState
+	// mu serializes every mailbox change, every raw change and every
+	// floor snapshot (see the package comment's safety argument).
+	mu      sync.Mutex
 	look    Time
 	horizon atomic.Int64 // inclusive execution horizon for the current run
 	threads int
@@ -216,9 +213,7 @@ func NewGroup(seed int64, parts int, lookahead Time) *Group {
 		e := NewEngine(s)
 		e.group, e.part = g, i
 		g.engines = append(g.engines, e)
-		ps := &partState{}
-		ps.box.headAt.Store(int64(Forever)) // empty box: no pending mail
-		g.parts = append(g.parts, ps)
+		g.parts = append(g.parts, &partState{})
 	}
 	return g
 }
@@ -268,10 +263,18 @@ func (g *Group) Executed() uint64 {
 // and execute out of order. Same-partition work belongs on the engine's
 // own queue (After/At), where it is ordered exactly.
 func (g *Group) Post(to int, at Time, src, seq uint64, fn func()) {
+	g.PostH(to, at, src, seq, Func(fn))
+}
+
+// PostH is Post for a typed handler: h.Fire runs on partition to's engine
+// at virtual time at, under the same ordering and lookahead contract.
+func (g *Group) PostH(to int, at Time, src, seq uint64, h Handler) {
 	if at < 0 {
 		panic(fmt.Sprintf("sim: group post at negative time %d", at))
 	}
-	g.parts[to].box.push(mail{at: at, src: src, seq: seq, fn: fn})
+	g.mu.Lock()
+	g.parts[to].box.push(mail{at: at, src: src, seq: seq, h: h})
+	g.mu.Unlock()
 }
 
 // callSrc tags Engine.Call mail sources so they can never collide with a
@@ -320,19 +323,18 @@ func (g *Group) RunUntil(until Time) Time {
 	minRaw := Forever
 	for i, e := range g.engines {
 		ps := g.parts[i]
-		raw := e.NextEventTime()
-		if h := ps.box.head(); h < raw {
-			raw = h
+		ps.raw = e.NextEventTime()
+		if h := ps.box.head(); h < ps.raw {
+			ps.raw = h
 		}
-		ps.raw.Store(int64(raw))
-		if raw < minRaw {
-			minRaw = raw
+		if ps.raw < minRaw {
+			minRaw = ps.raw
 		}
 	}
 	for _, ps := range g.parts {
 		clock := minRaw.Add(g.look)
-		if raw := Time(ps.raw.Load()); raw < clock {
-			clock = raw
+		if ps.raw < clock {
+			clock = ps.raw
 		}
 		ps.clock.Store(int64(clock))
 	}
@@ -396,22 +398,17 @@ func (g *Group) runThread(tid, threads int) {
 }
 
 // quiescent reports whether no partition holds — or can ever create —
-// work at or below the horizon. Published raws are read before mailbox
-// heads: any in-flight mail is covered either by its sender's pre-batch
-// raw (republished only after the batch's pushes complete) or by the
-// destination box's head mirror once the second pass loads it, so a true
-// here can never mask pending work.
+// work at or below the horizon. Raws cover every partition's local
+// events and the mail it has popped, boxes the mail in flight.
 func (g *Group) quiescent() bool {
 	h := Time(g.horizon.Load())
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	for _, ps := range g.parts {
-		raw := Time(ps.raw.Load())
-		if raw <= h && raw != Forever {
+		if ps.raw <= h && ps.raw != Forever {
 			return false
 		}
-	}
-	for _, ps := range g.parts {
-		bh := ps.box.head()
-		if bh <= h && bh != Forever {
+		if bh := ps.box.head(); bh <= h && bh != Forever {
 			return false
 		}
 	}
@@ -424,28 +421,22 @@ func (g *Group) runPartition(p int) bool {
 	e := g.engines[p]
 	ps := g.parts[p]
 
-	// (1) Publish the next-action estimate.
+	// (1) Publish the next-action estimate, and (2) the conservative
+	// clock: min(raw, globalFloor + L). The floor is the minimum over
+	// every raw and every mailbox head, read as one snapshot under the
+	// group lock, so it is a true lower bound on all future execution
+	// anywhere.
+	g.mu.Lock()
 	raw := e.NextEventTime()
 	if h := ps.box.head(); h < raw {
 		raw = h
 	}
-	ps.raw.Store(int64(raw))
-
-	// (2) Publish the conservative clock: min(raw, globalFloor + L).
-	// The floor is read in two passes — published raws first, then live
-	// mailbox heads. The order matters: any in-flight mail is either
-	// still covered by its sender's pre-batch raw (republished only
-	// after the batch's pushes complete) or already visible in the
-	// destination box's head mirror when the second pass loads it. Stale reads
-	// are therefore always low, never high, so the floor is a true lower
-	// bound on all future execution anywhere.
+	ps.raw = raw
 	minRaw := raw
 	for _, qs := range g.parts {
-		if r := Time(qs.raw.Load()); r < minRaw {
-			minRaw = r
+		if qs.raw < minRaw {
+			minRaw = qs.raw
 		}
-	}
-	for _, qs := range g.parts {
 		if h := qs.box.head(); h < minRaw {
 			minRaw = h
 		}
@@ -462,6 +453,7 @@ func (g *Group) runPartition(p int) bool {
 		clock = prev
 	}
 	ps.clock.Store(int64(clock))
+	g.mu.Unlock()
 
 	horizon := Time(g.horizon.Load())
 	if raw > horizon || raw == Forever {
@@ -489,7 +481,12 @@ func (g *Group) runPartition(p int) bool {
 		if h1 := Time(g.horizon.Load()).Add(1); h1 < bound {
 			bound = h1
 		}
+		g.mu.Lock()
 		m, ok := ps.box.popBelow(bound)
+		if ok && m.at < ps.raw {
+			ps.raw = m.at // covers the mail until the next publish
+		}
+		g.mu.Unlock()
 		if !ok {
 			break
 		}
@@ -503,10 +500,12 @@ func (g *Group) runPartition(p int) bool {
 		if m.at > Time(g.horizon.Load()) {
 			// A Stop moved the horizon below this mail; requeue it so a
 			// later RunUntil with a larger horizon can still deliver it.
+			g.mu.Lock()
 			ps.box.push(m)
+			g.mu.Unlock()
 			break
 		}
-		m.fn()
+		m.h.Fire()
 		g.injected.Add(1)
 		progressed = true
 	}

@@ -8,7 +8,7 @@ import (
 
 // runTokenRing drives a 3-partition group: each partition runs a jittered
 // local tick load off its own RNG, and a single token hops between
-// partitions through the mailbox. The mailbox mutex serializes the hop
+// partitions through the mailbox. The group lock serializes the hop
 // chain, so the shared hop counter is race-free. Returns the per-partition
 // logs, total executed work, and each engine's final event count.
 func runTokenRing(t *testing.T, threads int, until Time) ([][]string, uint64) {
@@ -201,5 +201,38 @@ func TestAfterOverflowClamp(t *testing.T) {
 	// A bounded run must also skip Forever events without advancing into them.
 	if now := e.RunUntil(20); now != 20 {
 		t.Fatalf("RunUntil(20) = %v", now)
+	}
+}
+
+// markHandler is a typed mail that logs its name and the time it ran.
+type markHandler struct {
+	e    *Engine
+	name string
+	log  *[]string
+}
+
+func (h *markHandler) Fire() { *h.log = append(*h.log, fmt.Sprintf("%s@%d", h.name, h.e.Now())) }
+
+// TestGroupPostH: typed mail is ordered with closure mail by (at, src,
+// seq), runs on the destination partition at its timestamp, and follows
+// same-instant local events there.
+func TestGroupPostH(t *testing.T) {
+	g := NewGroup(1, 2, Microsecond)
+	dst := g.Engine(1)
+	var log []string
+	mark := func(name string) *markHandler { return &markHandler{e: dst, name: name, log: &log} }
+	g.Engine(0).After(0, func() {
+		g.PostH(1, 5000, 0, 2, mark("typed2"))
+		g.Post(1, 5000, 0, 1, func() { log = append(log, fmt.Sprintf("func@%d", dst.Now())) })
+		g.PostH(1, 3000, 0, 3, mark("typed3"))
+	})
+	dst.AtH(5000, mark("local"))
+	g.Run()
+	want := []string{"typed3@3000", "local@5000", "func@5000", "typed2@5000"}
+	if !reflect.DeepEqual(log, want) {
+		t.Fatalf("log = %v, want %v", log, want)
+	}
+	if g.Executed() != 5 {
+		t.Fatalf("executed %d, want 5 (2 local events + 3 mail)", g.Executed())
 	}
 }

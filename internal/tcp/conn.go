@@ -39,6 +39,11 @@ type Conn struct {
 	synRetries   int
 	timer        sim.EventID
 	timerArmed   bool
+	// timerFn is what the armed timer runs; timerFire (fireTimer) and
+	// rtoFn (onRTO) are bound once, so re-arming allocates nothing.
+	timerFn   func()
+	timerFire func()
+	rtoFn     func()
 	// rttSeq/rttSentAt sample one segment per window for RTT estimation
 	// (Karn's algorithm: never sample retransmitted data).
 	rttSeq    uint64
@@ -58,7 +63,7 @@ type Conn struct {
 }
 
 func newConn(s *Stack, id uint64, peerNode fabric.NodeID, peerFlow fabric.FlowID, st ConnState) *Conn {
-	return &Conn{
+	c := &Conn{
 		stack:    s,
 		id:       id,
 		peerNode: peerNode,
@@ -69,6 +74,9 @@ func newConn(s *Stack, id uint64, peerNode fabric.NodeID, peerFlow fabric.FlowID
 		rto:      s.Cfg.InitRTO,
 		ooo:      make(map[uint64]*segment),
 	}
+	c.timerFire = c.fireTimer
+	c.rtoFn = c.onRTO
+	return c
 }
 
 // State returns the connection state.
@@ -317,7 +325,7 @@ func (c *Conn) ensureRTOTimer() {
 }
 
 func (c *Conn) restartRTOTimer() {
-	c.armTimer(c.backoff(c.rto, c.retries), c.onRTO)
+	c.armTimer(c.backoff(c.rto, c.retries), c.rtoFn)
 }
 
 func (c *Conn) onRTO() {
@@ -356,13 +364,19 @@ func (c *Conn) onRTO() {
 	}
 }
 
+// armTimer (re)arms the connection's single timer to run fn after d.
+//
+//npf:noalloc
 func (c *Conn) armTimer(d sim.Time, fn func()) {
 	c.disarmTimer()
 	c.timerArmed = true
-	c.timer = c.stack.eng.After(d, func() {
-		c.timerArmed = false
-		fn()
-	})
+	c.timerFn = fn
+	c.timer = c.stack.eng.After(d, c.timerFire)
+}
+
+func (c *Conn) fireTimer() {
+	c.timerArmed = false
+	c.timerFn()
 }
 
 func (c *Conn) disarmTimer() {

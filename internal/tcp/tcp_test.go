@@ -62,7 +62,7 @@ type pair struct {
 // newPair builds server+client stacks. The server ring uses serverPolicy
 // and starts cold unless warmed; the client is always warmed (the paper's
 // client machines are unmodified).
-func newPair(t *testing.T, serverPolicy nic.FaultPolicy, ringSize int, lossProb float64, warmServer bool) *pair {
+func newPair(t testing.TB, serverPolicy nic.FaultPolicy, ringSize int, lossProb float64, warmServer bool) *pair {
 	t.Helper()
 	eng := sim.NewEngine(1)
 	cfg := fabric.DefaultEthernet()
@@ -377,5 +377,47 @@ func TestTwoConnectionsInterleave(t *testing.T) {
 				t.Fatalf("conn %d out of order: %v", id, msgs)
 			}
 		}
+	}
+}
+
+// TestRTORearmAllocs is the runtime side of the //npf:noalloc fence on
+// Conn.armTimer: re-arming the retransmission timer (every ACK of new
+// data does it) allocates nothing in steady state.
+func TestRTORearmAllocs(t *testing.T) {
+	p := newPair(t, nic.PolicyPinned, 64, 0, true)
+	p.server.Listen(func(*Conn) {})
+	c := p.client.Dial(p.server.ch.Dev.Node, p.server.ch.Flow)
+	p.eng.Run()
+	if c.State() != StateEstablished {
+		t.Fatalf("state = %v, want established", c.State())
+	}
+	for i := 0; i < 1000; i++ {
+		c.restartRTOTimer()
+	}
+	if allocs := testing.AllocsPerRun(1000, c.restartRTOTimer); allocs != 0 {
+		t.Fatalf("RTO re-arm allocates %.1f, want 0", allocs)
+	}
+	c.disarmTimer()
+}
+
+// BenchmarkTCPStream64K streams 64 KiB messages over an established
+// connection between two warm stacks; one op is one message delivered.
+func BenchmarkTCPStream64K(b *testing.B) {
+	b.ReportAllocs()
+	p := newPair(b, nic.PolicyPinned, 256, 0, true)
+	received := 0
+	p.server.Listen(func(c *Conn) {
+		c.OnMessage = func(any, int) { received++ }
+	})
+	c := p.client.Dial(p.server.ch.Dev.Node, p.server.ch.Flow)
+	p.eng.Run()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Send(64<<10, nil)
+		p.eng.Run()
+	}
+	b.StopTimer()
+	if received != b.N {
+		b.Fatalf("received %d/%d messages", received, b.N)
 	}
 }

@@ -57,14 +57,27 @@ fi
 
 # The sim engine's free-list contract: steady-state scheduling must not
 # allocate, and the event-throughput hot path must report 0 allocs/op.
+# The packet path above it is gated the same way: a fabric hop, a NIC RX
+# completion round and a TCP RTO re-arm allocate nothing in steady state
+# (a NIC TX post allocates only its wire packet), and BenchmarkFabricHop
+# must report 0 allocs/op. These are the runtime side of the //npf:noalloc
+# fences npflint checks below.
 echo "== engine allocation gate =="
-out=$(go test -run 'TestEngineSteadyStateAllocs|TestEngineTimerChurnAllocs' \
+out=$(go test -run 'TestEngineSteadyStateAllocs|TestEngineTimerChurnAllocs|TestTypedHandlerAllocs' \
     -bench 'BenchmarkEngineEventThroughput' -benchtime 10000x ./internal/sim/)
 echo "$out"
 if ! echo "$out" | grep -q 'BenchmarkEngineEventThroughput.* 0 B/op.* 0 allocs/op'; then
     echo "BenchmarkEngineEventThroughput is not allocation-free" >&2
     exit 1
 fi
+out=$(go test -run 'TestFabricHopAllocs' -bench 'BenchmarkFabricHop' -benchtime 10000x ./internal/fabric/)
+echo "$out"
+if ! echo "$out" | grep -q 'BenchmarkFabricHop.* 0 B/op.* 0 allocs/op'; then
+    echo "BenchmarkFabricHop is not allocation-free" >&2
+    exit 1
+fi
+go test -run 'TestNICTxRxSteadyStateAllocs' ./internal/nic/
+go test -run 'TestRTORearmAllocs' ./internal/tcp/
 
 # The sweep runner's determinism contract under the race detector: the
 # worker pool fans real figure jobs across 8 goroutines and must produce
@@ -107,7 +120,11 @@ go run ./cmd/npftrace anatomy -quick -engines 4 > "$tmp4"
 diff "$tmp1" "$tmp4" || { echo "fault anatomy differs between -engines 1 and 4" >&2; exit 1; }
 go run ./cmd/npftrace critpath -quick > /dev/null
 rm -f "$tmp1" "$tmp4"
-echo "engines matrix ok (chaos + kv + scaleout + anatomy, -engines 1 vs 4)"
+# The same contract under real parallelism, repeated: with 2 worker threads
+# on 2 processors the KV service on a partitioned group must replay the
+# 1-thread run every time, not just usually.
+GOMAXPROCS=2 go test -count=20 -run 'TestClusterWithEnginesKV|TestClusterWithEnginesDeterminism' .
+echo "engines matrix ok (chaos + kv + scaleout + anatomy, -engines 1 vs 4; kv x20 at 2 threads)"
 
 # npflint: the determinism contracts (no wall clock in sim layers, no
 # order-dependent map walks, sim.Time-only signatures, nil-safe tracer
