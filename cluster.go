@@ -190,13 +190,6 @@ func (c *Cluster) Digest() uint64 {
 	return trace.DigestAll(c.Tracers)
 }
 
-// NewClusterSeed creates a cluster from positional parameters.
-//
-// Deprecated: use NewCluster(WithSeed(seed), WithFabric(cfg)).
-func NewClusterSeed(seed int64, cfg FabricConfig) *Cluster {
-	return NewCluster(WithSeed(seed), WithFabric(cfg))
-}
-
 // Injector returns the armed chaos injector, or nil when the cluster was
 // built without WithChaos.
 func (c *Cluster) Injector() *chaos.Injector { return c.injector }
@@ -332,13 +325,6 @@ func (c *Cluster) TryNewHosts(t HostTemplate, n int) ([]*Host, error) {
 	return hosts, nil
 }
 
-// NewHostRAM adds a host from positional parameters.
-//
-// Deprecated: use NewHost(name, WithRAM(ramBytes)).
-func (c *Cluster) NewHostRAM(name string, ramBytes int64) *Host {
-	return c.NewHost(name, WithRAM(ramBytes))
-}
-
 // AttachNIC gives the host an Ethernet NIC wired to its driver.
 func (h *Host) AttachNIC() *Device {
 	h.NIC = nic.NewDevice(h.Eng, h.cluster.Net, nic.DefaultConfig())
@@ -415,13 +401,6 @@ func (h *Host) OpenChannel(as *AddressSpace, opts ...ChannelOption) *Channel {
 		})
 	}
 	return ch
-}
-
-// OpenChannelRing creates a channel from positional parameters.
-//
-// Deprecated: use OpenChannel(as, WithChannelName(name), WithRingSize(ringSize), WithPolicy(policy)).
-func (h *Host) OpenChannelRing(name string, as *AddressSpace, ringSize int, policy FaultPolicy) *Channel {
-	return h.OpenChannel(as, WithChannelName(name), WithRingSize(ringSize), WithPolicy(policy))
 }
 
 // OpenQP creates an ODP-enabled queue pair for as on the host's HCA.

@@ -11,7 +11,6 @@ import (
 	"npf/internal/analysis/detwall"
 	"npf/internal/analysis/maporder"
 	"npf/internal/analysis/noalloc"
-	"npf/internal/analysis/optshim"
 	"npf/internal/analysis/probepure"
 	"npf/internal/analysis/simtime"
 	"npf/internal/analysis/tracesafe"
@@ -27,7 +26,6 @@ func Analyzers() []*analysis.Analyzer {
 		detwall.Analyzer,
 		maporder.Analyzer,
 		noalloc.Analyzer,
-		optshim.Analyzer,
 		probepure.Analyzer,
 		simtime.Analyzer,
 		tracesafe.Analyzer,

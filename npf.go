@@ -289,13 +289,6 @@ type (
 	KVTransport = kv.Transport
 )
 
-// KVWorkloadConfig shapes a KV workload.
-//
-// Deprecated: use WorkloadConfig. The KV service and the scale-out sweep
-// share one workload configuration type (internal/workload.Config); this
-// alias survives for source compatibility and npflint flags it.
-type KVWorkloadConfig = kv.WorkloadConfig
-
 // KV registration policies (the paper's Table 3 spectrum applied to a
 // service) and transports.
 const (

@@ -128,11 +128,9 @@ echo "engines matrix ok (chaos + kv + scaleout + anatomy, -engines 1 vs 4; kv x2
 
 # npflint: the determinism contracts (no wall clock in sim layers, no
 # order-dependent map walks, sim.Time-only signatures, nil-safe tracer
-# access, no deprecated positional shims, no host concurrency bypassing
-# the cross-engine mailbox protocol) as a hard machine-checked gate.
-# The optshim analyzer subsumes the old grep-based deprecated-shim gate and
-# is robust to import aliasing and line wrapping; xengine fences the sim
-# layers from sync/channel/go constructs that would race partitions.
+# access, no host concurrency bypassing the cross-engine mailbox protocol)
+# as a hard machine-checked gate. xengine fences the sim layers from
+# sync/channel/go constructs that would race partitions.
 # The v2 interprocedural analyzers ride the same invocation: detflow
 # (transitive nondeterminism reach via facts), noalloc (the //npf:noalloc
 # allocation fence — removing a registered hot-path annotation fails
@@ -190,18 +188,19 @@ EOF
 # npfstat regression gate: the quick run above must stay within generous
 # deltas of the committed baseline (BENCH_pr10.json, the current
 # reference: the quick fig3/ablate/kv/anatomy suite plus the KV ablation,
-# fault-anatomy, and PDES scaling sections). Structural drift (missing
-# experiments, engine-count changes, any event-count delta — engines and
-# events gate exactly — KV metric drift beyond -count-tol, fault-anatomy
-# drift: faults/pending and the critical-path stage/layer/host exactly,
-# percentiles within -count-tol, allocs/op regressions) hard-fails;
-# wall-clock deltas are machine noise and only warn, and dropped-telemetry
-# counts warn. The baseline was captured with the same -series flag as the
+# fault-anatomy, and PDES scaling sections). Each field's gate is the
+# struct tag it carries in internal/artifact. Hard failures: an experiment,
+# policy or other row the baseline does not have, any engine- or
+# event-count delta, completed-op, fault-count and critical-path drift,
+# kv/anatomy drift beyond -count-tol, and allocs/op growth. Wall-clock
+# deltas are machine noise and only warn, as do dropped-telemetry counts.
+# Rows and sections only the baseline has (such as its scaling section)
+# are ignored. The baseline was captured with the same -series flag as the
 # run above, so sampler tick events match exactly; regenerate it with
 #   go run ./cmd/npfbench -quick -parallel 0 -series /dev/null \
 #       -json BENCH_pr10.json fig3 ablate kv anatomy scale
-# (the trailing scale experiment adds the scaling section; the diff
-# ignores baseline-only sections, so CI skips re-measuring it).
+# (the trailing scale experiment adds the scaling section, which CI does
+# not re-measure).
 echo "== npfstat regression gate =="
 go run ./cmd/npfstat -count-tol 0.10 -baseline BENCH_pr10.json "$tmpjson"
 
